@@ -1,12 +1,12 @@
 //! REPL state machine: parses dot-commands and SQL, executes against a
-//! [`LaqySession`], and renders results as text tables. Kept free of I/O
+//! [`LaqyService`], and renders results as text tables. Kept free of I/O
 //! so the whole command surface is unit-testable.
 
 use std::fmt::Write as _;
 use std::time::Duration;
 
 use laqy::{
-    approx_query, run_bounded, save_to_file, ErrorTarget, LaqySession, QueryBudget, ReuseMode,
+    approx_query, run_bounded, save_to_file, ErrorTarget, LaqyService, QueryBudget, ReuseMode,
     SessionConfig,
 };
 use laqy_engine::{load_csv_file, Catalog, DataType, Value};
@@ -27,7 +27,7 @@ pub enum ExecMode {
 
 /// The interactive shell state.
 pub struct Repl {
-    session: Option<LaqySession>,
+    session: Option<LaqyService>,
     mode: ExecMode,
     k: usize,
     error_target: Option<f64>,
@@ -162,8 +162,8 @@ impl Repl {
         }
     }
 
-    fn make_session(&self, catalog: Catalog) -> LaqySession {
-        LaqySession::with_config(
+    fn make_session(&self, catalog: Catalog) -> LaqyService {
+        LaqyService::with_config(
             catalog,
             SessionConfig {
                 seed: self.seed,
@@ -208,7 +208,7 @@ impl Repl {
                 match load_csv_file(*name, path, &schema) {
                     Ok(table) => {
                         let rows = table.num_rows();
-                        match &mut self.session {
+                        match &self.session {
                             Some(s) => s.register_table(table),
                             None => {
                                 let mut catalog = Catalog::new();
@@ -280,7 +280,7 @@ impl Repl {
         let Some(sf) = self.ssb_sf else {
             return "`.ingest` extends a generated SSB catalog (try `.load ssb 0.01` first)".into();
         };
-        let Some(session) = &mut self.session else {
+        let Some(session) = &self.session else {
             return "no session".into();
         };
         let start = session
@@ -309,7 +309,7 @@ impl Repl {
         match &self.session {
             None => "no session".into(),
             Some(s) => {
-                let svc = s.service().stats();
+                let svc = s.stats();
                 let morsels = svc.morsels_skipped + svc.morsels_fast_pathed + svc.morsels_scanned;
                 format!(
                     "sample store: {} samples, {:.2} MiB; mode {:?}, k {}{}{}\n\
@@ -438,7 +438,7 @@ impl Repl {
             Ok(q) => q,
             Err(e) => return format!("error: {e}"),
         };
-        let service = session.service();
+        let service = session.clone();
         let before = service.stats();
         let t = std::time::Instant::now();
         let outcomes: Vec<_> = std::thread::scope(|scope| {
@@ -504,7 +504,7 @@ impl Repl {
         let Some(path) = path else {
             return "usage: .restore <path>".into();
         };
-        let Some(session) = &mut self.session else {
+        let Some(session) = &self.session else {
             return "load data first, then restore samples".into();
         };
         match std::fs::read(path) {
@@ -570,7 +570,7 @@ impl Repl {
     }
 
     fn run_sql(&mut self, sql: &str) -> String {
-        let Some(session) = &mut self.session else {
+        let Some(session) = &self.session else {
             return "no data loaded (try `.load ssb 0.01`)".into();
         };
         if self.mode == ExecMode::Exact {
@@ -684,7 +684,7 @@ fn parse_schema(spec: &str) -> Result<laqy_engine::CsvSchema, String> {
 const MAX_ROWS: usize = 20;
 
 fn render_approx(
-    session: &LaqySession,
+    session: &LaqyService,
     query: &laqy::ApproxQuery,
     result: &laqy::ApproxResult,
 ) -> String {

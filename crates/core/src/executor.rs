@@ -1,18 +1,13 @@
-//! The LAQy query executor: runs approximable queries through the lazy
-//! sampling flow of Figure 7.
-//!
-//! 1. Derive the logical sampler's [`SampleDescriptor`] from the query.
-//! 2. Ask the store for the reuse classification (**Algorithm 1**).
-//! 3. Full reuse → estimate straight from the stored sample (tightening to
-//!    the query predicate); partial reuse → push the Δ predicate down the
-//!    plan, build only the Δ sample, merge (**Algorithms 2–3**), estimate;
-//!    no reuse → full online sampling, which is then absorbed by the store
-//!    for future queries.
+//! The per-query execution context behind [`LaqyService`]: the
+//! sampling pipeline, stored-sample estimation, and the exact and
+//! scan-floor baselines that the service's lazy flow (Figure 7) composes.
 //!
 //! Two sampler placements from the evaluation are supported: pushed down
 //! to the fact scan (query template Q1) and above a star join (Q2) — both
 //! fall out of the same pipeline because the engine's group-by hosts the
 //! reservoir aggregation either way.
+//!
+//! [`LaqyService`]: crate::service::LaqyService
 
 use std::time::{Duration, Instant};
 
@@ -25,22 +20,19 @@ use laqy_engine::{
 };
 use laqy_sampling::Lehmer64;
 
-use crate::budget::{
-    apply_degradation, blended_degradation, CancelToken, Degradation, DegradeReason,
-};
+use crate::budget::{apply_degradation, CancelToken, Degradation, DegradeReason};
 use crate::descriptor::{Predicates, SampleDescriptor};
 use crate::estimate::{
     estimate, EstimateError, EstimateOptions, ExactMass, ExactSlot, GroupEstimate,
 };
 use crate::interval::{Interval, IntervalSet};
-use crate::lazy::{plan_lazy, plan_lazy_capped, LazyPlan};
 use crate::sampler_ops::{
     group_table_into_sample, ReservoirAgg, ReservoirAggFactory, SampleSchema, SampleTuple, SlotKind,
 };
 use crate::stats::{ExecStats, ReuseClass};
-use crate::store::{union_single_column, SampleStore};
+use crate::store::SampleStore;
 use crate::support::{check_support, SupportPolicy, SupportReport};
-use laqy_sampling::{merge_stratified, merge_stratified_k, Reservoir, StratifiedSampler};
+use laqy_sampling::{merge_stratified, Reservoir, StratifiedSampler};
 
 /// Errors from the LAQy execution layer.
 #[derive(Debug)]
@@ -109,7 +101,7 @@ pub struct ApproxQuery {
 #[derive(Debug, Clone)]
 pub struct ApproxResult {
     /// Per-group estimates (keys are raw i64 parts; decode via
-    /// [`LaqyExecutor::decode_keys`]).
+    /// [`LaqyService::decode_keys`](crate::service::LaqyService::decode_keys)).
     pub groups: Vec<GroupEstimate>,
     /// Timing/cardinality breakdown.
     pub stats: ExecStats,
@@ -135,12 +127,12 @@ pub enum ReuseMode {
     FullMatchOnly,
 }
 
-/// The executor. Owns RNG state and configuration; catalog and sample
-/// store are passed per call so sessions control sharing.
-pub struct LaqyExecutor {
+/// Per-query execution context: worker count, support policy, RNG
+/// state, and budget token. Catalog and sample store are passed per call;
+/// the service builds one executor per query attempt.
+pub(crate) struct LaqyExecutor {
     threads: usize,
     policy: SupportPolicy,
-    mode: ReuseMode,
     rng: Lehmer64,
     seed_counter: u64,
     budget: CancelToken,
@@ -152,17 +144,10 @@ impl LaqyExecutor {
         Self {
             threads,
             policy,
-            mode: ReuseMode::Lazy,
             rng: Lehmer64::new(seed),
             seed_counter: seed,
             budget: CancelToken::unbounded(),
         }
-    }
-
-    /// Set the reuse mode (ablation: disable partial reuse).
-    pub fn with_mode(mut self, mode: ReuseMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Attach a started budget token: every sampling pipeline this
@@ -175,21 +160,6 @@ impl LaqyExecutor {
     /// The budget token currently attached to this executor.
     pub(crate) fn budget(&self) -> &CancelToken {
         &self.budget
-    }
-
-    /// The active reuse mode.
-    pub fn mode(&self) -> ReuseMode {
-        self.mode
-    }
-
-    /// Worker thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The support policy in force.
-    pub fn policy(&self) -> &SupportPolicy {
-        &self.policy
     }
 
     /// The merge RNG (the service's write path drives merges itself).
@@ -264,273 +234,6 @@ impl LaqyExecutor {
         Ok((cols, SampleSchema::new(schema_cols)))
     }
 
-    /// Run a query through the lazy sampling flow (the LAQy path in
-    /// Figures 12–15).
-    pub fn run_lazy(
-        &mut self,
-        catalog: &Catalog,
-        store: &mut SampleStore,
-        query: &ApproxQuery,
-    ) -> Result<ApproxResult> {
-        let t_start = Instant::now();
-        let descriptor = self.descriptor(catalog, query)?;
-        // The pinned epoch's row watermark: stored samples drawn below it
-        // carry an un-absorbed append tail the plan must Δ-scan.
-        let watermark = catalog.table(&query.plan.fact)?.row_watermark();
-        let mut lazy = match self.mode {
-            ReuseMode::SingleSample => plan_lazy_capped(store, &descriptor, 1, watermark),
-            _ => plan_lazy(store, &descriptor, watermark),
-        };
-        if self.mode == ReuseMode::FullMatchOnly {
-            // All-or-none matching: partial overlap is not good enough.
-            if let LazyPlan::CoverageReuse { .. } = lazy {
-                lazy = LazyPlan::Online;
-            }
-        }
-        let effective = lazy.uncovered_fraction(&descriptor);
-        let tighten = Predicates::on(query.range_column.clone(), IntervalSet::of(query.range));
-
-        let result = match lazy {
-            LazyPlan::FullReuse { id } => {
-                let (mut groups, mut support, est_time) =
-                    self.estimate_stored(store, id, query, &tighten)?;
-                let mut stats = ExecStats {
-                    estimate: est_time,
-                    effective_selectivity: 0.0,
-                    reuse: Some(ReuseClass::Full),
-                    ..Default::default()
-                };
-                if self.policy.conservative && !support.fully_supported() {
-                    // §5.2.3 conservative fallback: re-sample online, with
-                    // the filter pushed down, only the under-supported
-                    // strata — validating whether low support reflects the
-                    // data or a sampling artifact.
-                    if !self.refine_support(
-                        catalog,
-                        query,
-                        &mut groups,
-                        &mut support,
-                        &mut stats,
-                    )? {
-                        return self.run_online_and_absorb(catalog, store, query, t_start);
-                    }
-                }
-                stats.total = t_start.elapsed();
-                ApproxResult {
-                    groups,
-                    stats,
-                    support,
-                }
-            }
-            LazyPlan::CoverageReuse {
-                samples,
-                fragments,
-                tails,
-            } => {
-                let (_, schema) = self.payload_schema(catalog, query)?;
-                // One zone-map-pruned Δ-scan per residual fragment, each
-                // internally fanned through the worker pool.
-                let mut stats = ExecStats::default();
-                let mut fragment_samples = Vec::with_capacity(fragments.len());
-                let mut fragment_boundaries = Vec::with_capacity(fragments.len());
-                let mut exact_mass = ExactMass::new();
-                let mut fragment_coverage = 0.0f64;
-                let mut fragments_skipped = 0u64;
-                for frag in &fragments {
-                    // An expired budget skips remaining fragments outright
-                    // (their regions contribute nothing; the CI widening
-                    // below accounts for the hole).
-                    if self.budget.expired() {
-                        fragments_skipped += 1;
-                        continue;
-                    }
-                    let ranges = frag
-                        .get(&query.range_column)
-                        .cloned()
-                        .unwrap_or_else(|| IntervalSet::of(query.range));
-                    let extra = fragment_extra_predicate(frag, &query.range_column);
-                    let run =
-                        self.sample_pipeline_hybrid(catalog, query, &ranges, &extra, true, 0)?;
-                    fragment_coverage += run.stats.degraded.map_or(1.0, |d| d.coverage);
-                    stats.accumulate(&run.stats);
-                    exact_mass.merge(&run.exact);
-                    fragment_boundaries.push(run.boundary);
-                    fragment_samples.push(run.sample);
-                }
-                // Δ-scan the append tails of stale selected samples: the
-                // same pipeline, restricted to the sample's full predicate
-                // box with the row floor pushed down to its watermark. The
-                // tail sample is merged in below and absorbed back into
-                // its source sample (advancing the watermark).
-                let mut tail_samples = Vec::with_capacity(tails.len());
-                let mut tails_skipped = 0u64;
-                for tail in &tails {
-                    if self.budget.expired() {
-                        tails_skipped += 1;
-                        continue;
-                    }
-                    let ranges = tail
-                        .predicates
-                        .get(&query.range_column)
-                        .cloned()
-                        .unwrap_or_else(|| IntervalSet::of(query.range));
-                    let extra = fragment_extra_predicate(&tail.predicates, &query.range_column);
-                    let run = self.sample_pipeline_hybrid(
-                        catalog,
-                        query,
-                        &ranges,
-                        &extra,
-                        false,
-                        tail.from_row as usize,
-                    )?;
-                    fragment_coverage += run.stats.degraded.map_or(1.0, |d| d.coverage);
-                    stats.accumulate(&run.stats);
-                    tail_samples.push(run.sample);
-                }
-                let degradation = blended_degradation(
-                    stats.degraded.take(),
-                    fragment_coverage,
-                    fragments.len() + tails.len(),
-                    fragments_skipped + tails_skipped,
-                    effective,
-                );
-                stats.degraded = degradation;
-                stats.fragments_scanned =
-                    (fragments.len() + tails.len()) as u64 - fragments_skipped - tails_skipped;
-                stats.fragments_reused = samples.len() as u64;
-                // Clone the selected stored samples BEFORE mutating the
-                // store: absorption below may merge a fragment into one of
-                // them.
-                let mut inputs = Vec::with_capacity(samples.len() + fragments.len());
-                let mut parts: Vec<Predicates> = Vec::with_capacity(samples.len());
-                for &id in &samples {
-                    let stored = store
-                        .get(id)
-                        .ok_or_else(|| LaqyError::Unsupported("stored sample vanished".into()))?;
-                    inputs.push(stored.sample.clone());
-                    parts.push(stored.descriptor.predicates.clone());
-                }
-                // When lane mass was harvested, estimation uses a second
-                // merge over the *boundary* fragment samples (covered rows
-                // excluded), so the exact mass can be blended in without
-                // double counting; absorption always uses the full merge.
-                let mut est_inputs = (!exact_mass.is_empty()).then(|| inputs.clone());
-                inputs.extend(fragment_samples.iter().cloned());
-                inputs.extend(tail_samples.iter().cloned());
-                if let Some(ei) = est_inputs.as_mut() {
-                    for (b, full) in fragment_boundaries.iter().zip(&fragment_samples) {
-                        ei.push(b.clone().unwrap_or_else(|| full.clone()));
-                    }
-                    // Tail scans never harvest lanes, so the full tail
-                    // sample is its own boundary.
-                    ei.extend(tail_samples.iter().cloned());
-                }
-                let t_merge = Instant::now();
-                let merged = merge_stratified_k(inputs, &mut self.rng);
-                let merged_est = est_inputs.map(|ei| merge_stratified_k(ei, &mut self.rng));
-                stats.merge = t_merge.elapsed();
-                // Sample-as-you-query absorption. If the merged region is
-                // itself a predicate box (all constituents vary along one
-                // column), consolidate: the merged sample replaces its
-                // parts, exactly the old single-sample Δ-merge end state.
-                // Otherwise absorb each fragment box individually and keep
-                // the stored samples untouched (the union region is not
-                // expressible as one descriptor). Degraded fragments are
-                // never absorbed: their descriptors would overclaim
-                // coverage for regions the scan never reached.
-                if stats.degraded.is_none() {
-                    let constituents: Vec<&Predicates> =
-                        parts.iter().chain(fragments.iter()).collect();
-                    // Tail absorption first: merge each tail sample back
-                    // into its source sample and advance its watermark to
-                    // the pinned epoch's — the sample now fully represents
-                    // its predicate box again. Consolidation is skipped
-                    // when tails exist: the union replacement would drop
-                    // the per-sample watermark bookkeeping mid-catch-up.
-                    if tails.is_empty() {
-                        if let Some(union_preds) = union_single_column(&constituents) {
-                            for &id in &samples {
-                                store.remove(id);
-                            }
-                            let mut union_desc = descriptor.clone();
-                            union_desc.predicates = union_preds;
-                            store.absorb(
-                                union_desc,
-                                schema.clone(),
-                                merged.clone(),
-                                watermark,
-                                &mut self.rng,
-                            );
-                        } else {
-                            for (frag, s) in fragments.iter().zip(fragment_samples) {
-                                let mut frag_desc = descriptor.clone();
-                                frag_desc.predicates = frag.clone();
-                                store.absorb(
-                                    frag_desc,
-                                    schema.clone(),
-                                    s,
-                                    watermark,
-                                    &mut self.rng,
-                                );
-                            }
-                        }
-                    } else {
-                        for (tail, s) in tails.iter().zip(tail_samples) {
-                            store.absorb_tail(tail.id, s, tail.from_row, watermark, &mut self.rng);
-                        }
-                        for (frag, s) in fragments.iter().zip(fragment_samples) {
-                            let mut frag_desc = descriptor.clone();
-                            frag_desc.predicates = frag.clone();
-                            store.absorb(frag_desc, schema.clone(), s, watermark, &mut self.rng);
-                        }
-                    }
-                }
-                let t_est = Instant::now();
-                let opts = EstimateOptions {
-                    tighten: Some(&tighten),
-                    exact: (!exact_mass.is_empty()).then_some(&exact_mass),
-                    ..Default::default()
-                };
-                let mut groups = estimate(
-                    merged_est.as_ref().unwrap_or(&merged),
-                    &schema,
-                    &query.plan.aggs,
-                    &opts,
-                )?;
-                if let Some(deg) = &stats.degraded {
-                    apply_degradation(&mut groups, &query.plan.aggs, deg);
-                }
-                let mut support = support_from_groups(&groups, &self.policy);
-                stats.estimate = t_est.elapsed();
-                stats.effective_selectivity = effective;
-                stats.reuse = Some(ReuseClass::Partial);
-                if self.policy.conservative
-                    && stats.degraded.is_none()
-                    && !support.fully_supported()
-                    && !self.refine_support(
-                        catalog,
-                        query,
-                        &mut groups,
-                        &mut support,
-                        &mut stats,
-                    )?
-                {
-                    return self.run_online_and_absorb(catalog, store, query, t_start);
-                }
-                stats.total = t_start.elapsed();
-                ApproxResult {
-                    groups,
-                    stats,
-                    support,
-                }
-            }
-            LazyPlan::Online => {
-                return self.run_online_and_absorb(catalog, store, query, t_start);
-            }
-        };
-        Ok(result)
-    }
-
     /// Workload-oblivious online sampling (the "Online Sampling" baseline):
     /// sample the full query range, estimate, discard.
     pub fn run_online(&mut self, catalog: &Catalog, query: &ApproxQuery) -> Result<ApproxResult> {
@@ -551,52 +254,6 @@ impl LaqyExecutor {
         }
         let support = check_support(&sample, &schema, None, &self.policy)?;
         stats.estimate = t_est.elapsed();
-        stats.effective_selectivity = 1.0;
-        stats.reuse = Some(ReuseClass::Online);
-        stats.total = t_start.elapsed();
-        Ok(ApproxResult {
-            groups,
-            stats,
-            support,
-        })
-    }
-
-    fn run_online_and_absorb(
-        &mut self,
-        catalog: &Catalog,
-        store: &mut SampleStore,
-        query: &ApproxQuery,
-        t_start: Instant,
-    ) -> Result<ApproxResult> {
-        let descriptor = self.descriptor(catalog, query)?;
-        let (_, schema) = self.payload_schema(catalog, query)?;
-        let watermark = catalog.table(&query.plan.fact)?.row_watermark();
-        let ranges = IntervalSet::of(query.range);
-        let run =
-            self.sample_pipeline_hybrid(catalog, query, &ranges, &Predicate::True, true, 0)?;
-        let mut stats = run.stats;
-        let t_est = Instant::now();
-        // Hybrid estimation: sampled boundary mass plus exact lane mass
-        // (when harvested); the stored sample always covers the full
-        // region.
-        let opts = EstimateOptions {
-            exact: (!run.exact.is_empty()).then_some(&run.exact),
-            ..Default::default()
-        };
-        let est_sample = run.boundary.as_ref().unwrap_or(&run.sample);
-        let mut groups = estimate(est_sample, &schema, &query.plan.aggs, &opts)?;
-        if let Some(deg) = &stats.degraded {
-            apply_degradation(&mut groups, &query.plan.aggs, deg);
-        }
-        let support = check_support(&run.sample, &schema, None, &self.policy)?;
-        stats.estimate = t_est.elapsed();
-        // Capture the sample for future reuse (sample-as-you-query: the
-        // sample was needed anyway, so storing it costs only space) —
-        // unless the budget cut the scan short: a degraded sample's
-        // descriptor would claim coverage the scan never delivered.
-        if stats.degraded.is_none() {
-            store.absorb(descriptor, schema, run.sample, watermark, &mut self.rng);
-        }
         stats.effective_selectivity = 1.0;
         stats.reuse = Some(ReuseClass::Online);
         stats.total = t_start.elapsed();
@@ -1438,20 +1095,8 @@ mod tests {
 
     #[test]
     fn unknown_table_is_engine_error() {
-        let cat = Catalog::new();
-        let mut exec = LaqyExecutor::new(1, SupportPolicy::default(), 1);
-        let mut store = SampleStore::new();
-        let err = exec
-            .run_lazy(&cat, &mut store, &mini_query(0, 10))
-            .unwrap_err();
+        let service = crate::service::LaqyService::new(Catalog::new());
+        let err = service.run(&mini_query(0, 10)).unwrap_err();
         assert!(matches!(err, LaqyError::Engine(_)));
-    }
-
-    #[test]
-    fn executor_mode_roundtrip() {
-        let exec =
-            LaqyExecutor::new(2, SupportPolicy::default(), 1).with_mode(ReuseMode::FullMatchOnly);
-        assert_eq!(exec.mode(), ReuseMode::FullMatchOnly);
-        assert_eq!(exec.threads(), 2);
     }
 }

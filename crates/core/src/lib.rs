@@ -14,18 +14,18 @@
 //! - [`interval`] / [`descriptor`] — predicate algebra and the sample
 //!   metadata (Query Input, QCS, QVS, Query Predicate, k) that makes
 //!   samples malleable;
-//! - [`store`] — sample lifetime management, reuse classification,
-//!   coverage planning (greedy set cover over stored samples), and
-//!   Δ-merging (with optional byte-budgeted LRU eviction);
+//! - [`store`] — sample lifetime management, coverage planning (greedy
+//!   set cover over stored samples), and absorption of fresh samples
+//!   (with optional byte-budgeted LRU eviction);
 //! - [`lazy`] — Algorithm 1, the lazy sampling planner, generalized to
 //!   multi-sample, multi-fragment coverage reuse;
 //! - [`sampler_ops`] — reservoir sampling as an engine aggregation
 //!   function (stratified sampling = group-by with reservoir aggregation);
-//! - [`executor`] / [`session`] — the end-to-end flow of Figure 7 for both
+//! - [`executor`] — the query types and the sampling pipeline for both
 //!   sampler placements (pushed to scan, and above star joins);
-//! - [`service`] — the concurrent, shared-store deployment of the same
-//!   flow: a `Send + Sync` handle many client threads clone, with an
-//!   in-flight registry deduplicating concurrent Δ/online scans, plus the
+//! - [`service`] — the end-to-end flow of Figure 7 over one shared store:
+//!   a `Send + Sync` handle many client threads clone, with an in-flight
+//!   registry deduplicating concurrent Δ/online scans, plus the
 //!   streaming-ingest path (epoch-pinned appends with incremental sample
 //!   absorption);
 //! - [`persist`] / [`wal`] — crash-safe store snapshots and the ingest
@@ -34,36 +34,10 @@
 //! - [`mod@estimate`] / [`support`] — Horvitz–Thompson estimation with CLT
 //!   error bounds, tightening, and sample-support policies.
 //!
-//! ```
-//! use laqy::{ApproxQuery, Interval, LaqySession};
-//! use laqy_engine::{AggSpec, Catalog, ColRef, Column, Predicate, QueryPlan, Table};
-//!
-//! let mut catalog = Catalog::new();
-//! catalog.register(Table::new("t", vec![
-//!     ("key".into(), Column::Int64((0..10_000).collect())),
-//!     ("grp".into(), Column::Int64((0..10_000).map(|i| i % 7).collect())),
-//!     ("val".into(), Column::Int64((0..10_000).map(|i| i % 100).collect())),
-//! ]).unwrap());
-//! let mut session = LaqySession::new(catalog);
-//! let query = ApproxQuery {
-//!     plan: QueryPlan {
-//!         fact: "t".into(),
-//!         predicate: Predicate::True,
-//!         joins: vec![],
-//!         group_by: vec![ColRef::fact("grp")],
-//!         aggs: vec![AggSpec::sum("val"), AggSpec::count()],
-//!     },
-//!     range_column: "key".into(),
-//!     range: Interval::new(0, 4_999),
-//!     k: 256,
-//! };
-//! let result = session.run(&query).unwrap();
-//! assert_eq!(result.groups.len(), 7);
-//! ```
-//!
-//! For concurrent clients, hand out clones of a [`LaqyService`]: all
-//! clones share one catalog, one sample store, and one set of counters,
-//! so samples materialized by one client are reused by the others.
+//! [`LaqyService`] is the one entry point. Hand out clones of it to
+//! concurrent clients: all clones share one catalog, one sample store,
+//! and one set of counters, so samples materialized by one client are
+//! reused by the others.
 //!
 //! ```
 //! use laqy::{ApproxQuery, Interval, LaqyService};
@@ -113,7 +87,6 @@ pub mod lazy;
 pub mod persist;
 pub mod sampler_ops;
 pub mod service;
-pub mod session;
 pub mod sql;
 pub mod stats;
 pub mod store;
@@ -129,8 +102,7 @@ pub use estimate::{
     GroupEstimate,
 };
 pub use executor::{
-    input_identity, range_predicate, ApproxQuery, ApproxResult, LaqyError, LaqyExecutor, Result,
-    ReuseMode,
+    input_identity, range_predicate, ApproxQuery, ApproxResult, LaqyError, Result, ReuseMode,
 };
 pub use interval::{Interval, IntervalSet};
 pub use lazy::{plan_lazy, plan_lazy_capped, LazyPlan, MAX_COVERAGE_SAMPLES};
@@ -142,13 +114,12 @@ pub use sampler_ops::{
     group_table_into_sample, ReservoirAgg, ReservoirAggFactory, SampleSchema, SampleTuple,
     SlotKind, MAX_SAMPLE_COLS,
 };
-pub use service::LaqyService;
-pub use session::{LaqySession, SessionConfig};
+pub use service::{LaqyService, SessionConfig};
 pub use sql::{approx_query, approx_query_on};
 pub use stats::{ExecStats, ReuseClass, ServiceStats};
 pub use store::{
-    AbsorbReport, CoveragePlan, ReuseDecision, SampleId, SampleStore, ShardWriteGuard,
-    ShardedStore, StoredSample, TailFragment, STORE_SHARDS,
+    AbsorbReport, CoveragePlan, SampleId, SampleStore, ShardWriteGuard, ShardedStore, StoredSample,
+    TailFragment, STORE_SHARDS,
 };
 pub use support::{check_support, SupportPolicy, SupportReport};
 pub use wal::{

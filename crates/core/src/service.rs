@@ -47,6 +47,15 @@
 //! static class name, so the `laqy_sync` lock-order detector enforces
 //! the canonical order instead of skipping same-name edges.
 //!
+//! The service exposes the four execution modes the evaluation compares:
+//!
+//! - [`LaqyService::run`] — LAQy lazy sampling (full/partial/no reuse);
+//! - [`LaqyService::run_online_oblivious`] — workload-oblivious online
+//!   sampling (samples the full range every time, stores nothing);
+//! - [`LaqyService::run_exact`] — exact execution (the GroupBy baseline);
+//! - [`LaqyService::scan_floor`] — a pure filtered scan (the memory-
+//!   bandwidth floor).
+//!
 //! Streaming ingest: [`LaqyService::ingest`] appends a batch of rows to
 //! a registered table. Each query attempt pins one table epoch by
 //! cloning the catalog once up front, so a query concurrent with appends
@@ -77,11 +86,11 @@ use crate::executor::{
 };
 use crate::interval::IntervalSet;
 use crate::lazy::{plan_lazy, plan_lazy_capped, LazyPlan};
-use crate::session::SessionConfig;
 use crate::stats::{ExecStats, ReuseClass, ServiceStats};
 use crate::store::{
     union_single_column, SampleId, SampleStore, ShardedStore, TailFragment, STORE_SHARDS,
 };
+use crate::support::SupportPolicy;
 use crate::wal::{WalAppender, WalRecord};
 use laqy_sampling::{merge_stratified_k, Lehmer64};
 
@@ -95,6 +104,38 @@ const INFLIGHT_LOCK_NAMES: [&str; STORE_SHARDS] = laqy_sync::classes::INFLIGHT_R
 /// forces online sampling. Each retry means another client changed the
 /// store meanwhile, so contention this deep is already pathological.
 const MAX_PLAN_RETRIES: u32 = 16;
+
+/// Service configuration.
+#[derive(Debug, Clone)]
+pub struct SessionConfig {
+    /// Worker threads (defaults to available parallelism).
+    pub threads: usize,
+    /// Support / oversampling policy.
+    pub policy: SupportPolicy,
+    /// Base RNG seed (determinism across runs).
+    pub seed: u64,
+    /// Optional sample-store byte budget (LRU-evicted, global across
+    /// shards).
+    pub store_budget_bytes: Option<usize>,
+    /// Reuse aggressiveness (ablation switch; default lazy/partial reuse).
+    pub reuse_mode: ReuseMode,
+    /// Sample-store shard count, clamped to `1..=`[`STORE_SHARDS`]. One
+    /// shard reproduces the single-lock layout (the bench baseline).
+    pub store_shards: usize,
+}
+
+impl Default for SessionConfig {
+    fn default() -> Self {
+        Self {
+            threads: laqy_engine::parallel::default_threads(),
+            policy: SupportPolicy::default(),
+            seed: 0xACE1,
+            store_budget_bytes: None,
+            reuse_mode: ReuseMode::default(),
+            store_shards: STORE_SHARDS,
+        }
+    }
+}
 
 /// One in-flight sampling operation; waiters block on `cv` until the
 /// owner completes (successfully or not) and then re-plan.
@@ -156,7 +197,7 @@ struct ServiceInner {
     inflight: Vec<Mutex<HashMap<String, Arc<Inflight>>>>,
     counters: Counters,
     threads: usize,
-    policy: crate::support::SupportPolicy,
+    policy: SupportPolicy,
     mode: ReuseMode,
     seed: AtomicU64,
     /// Fault-injection hook (nanoseconds; 0 = off): owners of an
@@ -225,8 +266,7 @@ impl LaqyService {
 
     /// Register (or replace) a table. Waits for in-progress queries'
     /// catalog reads to drain. Samples built from a replaced table keep
-    /// their old contents until evicted or cleared (same caveat as the
-    /// single-owner session).
+    /// their old contents until evicted or cleared.
     pub fn register_table(&self, table: Table) {
         self.inner.catalog.write().register(table);
     }
@@ -702,7 +742,7 @@ impl LaqyService {
             .inner
             .seed
             .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed);
-        LaqyExecutor::new(self.inner.threads, self.inner.policy, seed).with_mode(self.inner.mode)
+        LaqyExecutor::new(self.inner.threads, self.inner.policy, seed)
     }
 
     fn hold_for_test(&self) {
@@ -881,9 +921,11 @@ impl LaqyService {
         // (full-coverage) sample: only those may be absorbed into the
         // shared store, since a degraded sample would overclaim coverage.
         let mut stats = ExecStats::default();
-        // Per owned fragment: index, full-region sample (absorbable),
-        // clean flag, and the boundary sample for hybrid estimation.
-        let mut scanned: Vec<(usize, _, bool, Option<_>)> = Vec::with_capacity(owned.len());
+        // Per owned fragment: index, full-region sample (absorbable), and
+        // clean flag; `boundaries` holds the matching boundary sample for
+        // hybrid estimation.
+        let mut scanned: Vec<(usize, _, bool)> = Vec::with_capacity(owned.len());
+        let mut boundaries = Vec::with_capacity(owned.len());
         // Per owned tail: index, tail Δ sample, clean flag. Tail scans
         // push the sample's own predicates down with the row floor at
         // `from_row`, so they only visit the appended rows.
@@ -912,7 +954,8 @@ impl LaqyService {
                 let clean = run.stats.degraded.is_none();
                 stats.accumulate(&run.stats);
                 exact_mass.merge(&run.exact);
-                scanned.push((*i, run.sample, clean, run.boundary));
+                scanned.push((*i, run.sample, clean));
+                boundaries.push(run.boundary);
             }
             for (i, _) in &owned_tails {
                 if executor.budget().expired() {
@@ -944,6 +987,28 @@ impl LaqyService {
             }
             schema
         };
+        // Absorb each clean fragment sample under its fragment box. Unclean
+        // (degraded) samples are dropped: their descriptors would claim
+        // coverage the scan never reached.
+        let absorb_fragments =
+            |store: &mut SampleStore, rng: &mut Lehmer64, scanned: Vec<(usize, _, bool)>| {
+                for (i, s, _) in scanned.into_iter().filter(|(_, _, clean)| *clean) {
+                    let mut frag_desc = descriptor.clone();
+                    frag_desc.predicates = fragments[i].clone();
+                    store.absorb(frag_desc, schema.clone(), s, watermark, rng);
+                }
+            };
+        // Merge each clean tail sample back into its source sample,
+        // advancing its watermark. Safe even against a concurrent absorber:
+        // the `from_row` guard rejects a replayed or overlapping tail
+        // instead of double-counting it.
+        let absorb_tails =
+            |store: &mut SampleStore, rng: &mut Lehmer64, scanned: Vec<(usize, _, bool)>| {
+                for (i, s, _) in scanned.into_iter().filter(|(_, _, clean)| *clean) {
+                    let tail = &tails[i];
+                    store.absorb_tail(tail.id, s, tail.from_row, watermark, rng);
+                }
+            };
         c.delta_scans.fetch_add(
             (scanned.len() + tail_scanned.len()) as u64,
             Ordering::Relaxed,
@@ -960,28 +1025,12 @@ impl LaqyService {
             // sample of its box — then release our claims, wait
             // guard-free for the others, and re-plan (normally upgrading
             // to full or pure-merge reuse).
-            if scanned.iter().any(|(_, _, clean, _)| *clean)
+            if scanned.iter().any(|(_, _, clean)| *clean)
                 || tail_scanned.iter().any(|(_, _, clean)| *clean)
             {
                 let mut store = self.timed(|i| i.store.write_shard(home));
-                for (i, s, clean, _) in scanned {
-                    if !clean {
-                        continue;
-                    }
-                    let mut frag_desc = descriptor.clone();
-                    frag_desc.predicates = fragments[i].clone();
-                    store.absorb(frag_desc, schema.clone(), s, watermark, executor.rng_mut());
-                }
-                for (i, s, clean) in tail_scanned {
-                    if !clean {
-                        continue;
-                    }
-                    // Safe even against a concurrent absorber: the
-                    // from_row guard rejects a replayed or overlapping
-                    // tail instead of double-counting it.
-                    let tail = &tails[i];
-                    store.absorb_tail(tail.id, s, tail.from_row, watermark, executor.rng_mut());
-                }
+                absorb_fragments(&mut store, executor.rng_mut(), scanned);
+                absorb_tails(&mut store, executor.rng_mut(), tail_scanned);
             }
             c.fragments_deduped
                 .fetch_add(busy.len() as u64, Ordering::Relaxed);
@@ -1039,10 +1088,10 @@ impl LaqyService {
                 // harvest lanes, so the full tail sample is its own
                 // boundary.
                 let mut est_inputs = (!exact_mass.is_empty()).then(|| inputs.clone());
-                inputs.extend(scanned.iter().map(|(_, s, _, _)| s.clone()));
+                inputs.extend(scanned.iter().map(|(_, s, _)| s.clone()));
                 inputs.extend(tail_scanned.iter().map(|(_, s, _)| s.clone()));
                 if let Some(ei) = est_inputs.as_mut() {
-                    for (_, s, _, boundary) in &scanned {
+                    for ((_, s, _), boundary) in scanned.iter().zip(&boundaries) {
                         ei.push(boundary.clone().unwrap_or_else(|| s.clone()));
                     }
                     ei.extend(tail_scanned.iter().map(|(_, s, _)| s.clone()));
@@ -1052,13 +1101,13 @@ impl LaqyService {
                 if stats.degraded.is_none() {
                     // Sample-as-you-query absorption. With no tails in
                     // play: consolidate when the union region is itself a
-                    // predicate box, else absorb the fragments
-                    // individually (mirrors the single-owner executor's
-                    // coverage arm). With tails: catch each stale sample
-                    // up via its tail Δ first — union replacement would
-                    // throw away per-sample watermark bookkeeping mid
-                    // catch-up. Every scan is clean here — a degraded one
-                    // would have set `stats.degraded`.
+                    // predicate box — the merged sample replaces its
+                    // parts — else absorb the fragments individually.
+                    // With tails: catch each stale sample up via its tail
+                    // Δ first — union replacement would throw away
+                    // per-sample watermark bookkeeping mid catch-up.
+                    // Every scan is clean here — a degraded one would
+                    // have set `stats.degraded`.
                     let constituents: Vec<&Predicates> = snapshot
                         .iter()
                         .map(|(p, _)| p)
@@ -1079,61 +1128,19 @@ impl LaqyService {
                                 executor.rng_mut(),
                             );
                         } else {
-                            for (i, s, _, _) in scanned {
-                                let mut frag_desc = descriptor.clone();
-                                frag_desc.predicates = fragments[i].clone();
-                                store.absorb(
-                                    frag_desc,
-                                    schema.clone(),
-                                    s,
-                                    watermark,
-                                    executor.rng_mut(),
-                                );
-                            }
+                            absorb_fragments(&mut store, executor.rng_mut(), scanned);
                         }
                     } else {
-                        for (i, s, _) in tail_scanned {
-                            let tail = &tails[i];
-                            store.absorb_tail(
-                                tail.id,
-                                s,
-                                tail.from_row,
-                                watermark,
-                                executor.rng_mut(),
-                            );
-                        }
-                        for (i, s, _, _) in scanned {
-                            let mut frag_desc = descriptor.clone();
-                            frag_desc.predicates = fragments[i].clone();
-                            store.absorb(
-                                frag_desc,
-                                schema.clone(),
-                                s,
-                                watermark,
-                                executor.rng_mut(),
-                            );
-                        }
+                        absorb_tails(&mut store, executor.rng_mut(), tail_scanned);
+                        absorb_fragments(&mut store, executor.rng_mut(), scanned);
                     }
                 } else {
                     // Degraded query: the merged sample answers it, but
                     // only clean samples may enter the store — and never
                     // a consolidated union, which would claim coverage
                     // the budget cut short.
-                    for (i, s, clean, _) in scanned {
-                        if !clean {
-                            continue;
-                        }
-                        let mut frag_desc = descriptor.clone();
-                        frag_desc.predicates = fragments[i].clone();
-                        store.absorb(frag_desc, schema.clone(), s, watermark, executor.rng_mut());
-                    }
-                    for (i, s, clean) in tail_scanned {
-                        if !clean {
-                            continue;
-                        }
-                        let tail = &tails[i];
-                        store.absorb_tail(tail.id, s, tail.from_row, watermark, executor.rng_mut());
-                    }
+                    absorb_fragments(&mut store, executor.rng_mut(), scanned);
+                    absorb_tails(&mut store, executor.rng_mut(), tail_scanned);
                 }
                 Some((merged, merged_est))
             } else {
@@ -1141,21 +1148,8 @@ impl LaqyService {
                 // re-plan. Tail absorbs stay safe against whatever
                 // invalidated the plan — the from_row guard rejects a
                 // tail whose sample moved on.
-                for (i, s, clean, _) in scanned {
-                    if !clean {
-                        continue;
-                    }
-                    let mut frag_desc = descriptor.clone();
-                    frag_desc.predicates = fragments[i].clone();
-                    store.absorb(frag_desc, schema.clone(), s, watermark, executor.rng_mut());
-                }
-                for (i, s, clean) in tail_scanned {
-                    if !clean {
-                        continue;
-                    }
-                    let tail = &tails[i];
-                    store.absorb_tail(tail.id, s, tail.from_row, watermark, executor.rng_mut());
-                }
+                absorb_fragments(&mut store, executor.rng_mut(), scanned);
+                absorb_tails(&mut store, executor.rng_mut(), tail_scanned);
                 None
             }
         };
@@ -1238,7 +1232,7 @@ impl LaqyService {
                 executor.refine_support(pinned, query, &mut groups, &mut support, &mut stats)?;
             if !refined {
                 // Low support not recoverable per-stratum: validate with a
-                // full online run, as the single-owner path does.
+                // full online run.
                 self.inner
                     .counters
                     .support_fallbacks

@@ -1,15 +1,16 @@
-//! The sample store: sample lifetime management and reuse classification
+//! The sample store: sample lifetime management and coverage planning
 //! (paper §6, "sample lifetime management module that captures the
 //! generated samples to allow reuse on subsequent queries").
 //!
 //! The store owns materialized stratified samples together with their
-//! [`SampleDescriptor`]s. For an incoming logical sampler it classifies the
-//! best reuse opportunity (full / partial / none — the dispatch of
-//! Algorithm 1) and merges Δ samples into stored ones, extending their
-//! predicate coverage. The generalized [`SampleStore::plan_coverage`]
-//! extends single-sample classification to a greedy set cover: several
+//! [`SampleDescriptor`]s. For an incoming logical sampler,
+//! [`SampleStore::plan_coverage`] finds the reuse opportunity (the
+//! dispatch of Algorithm 1) as a greedy set cover: several
 //! pairwise-disjoint stored samples plus the residual uncovered region as
-//! interval boxes, feeding the k-way reservoir merge. An optional byte
+//! interval boxes, feeding the k-way reservoir merge.
+//! [`SampleStore::absorb`] takes fresh samples back in, merging a sample
+//! that is disjoint along one column into its neighbour and so extending
+//! the neighbour's predicate coverage. An optional byte
 //! budget with LRU eviction hooks this store into Taster-style storage
 //! management (paper §8).
 
@@ -59,32 +60,9 @@ impl StoredSample {
     }
 }
 
-/// How a query's sampler requirement relates to the store's contents.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReuseDecision {
-    /// A stored sample's predicates subsume the query's: use it directly
-    /// ("full reuse: offline"), possibly tightening.
-    Full {
-        /// The subsuming sample.
-        id: SampleId,
-    },
-    /// A stored sample partially overlaps: build a Δ sample on `delta` and
-    /// merge ("partial reuse: delta range sample").
-    Partial {
-        /// The partially-matching sample.
-        id: SampleId,
-        /// Predicates for the Δ sampler (pushed down the plan).
-        delta: Predicates,
-        /// The single predicate column along which coverage is extended.
-        varying: String,
-    },
-    /// Nothing usable: full online sampling.
-    None,
-}
-
 /// A multi-sample reuse plan — the coverage-planning generalization of
-/// [`ReuseDecision`]: instead of one stored sample and one Δ interval, a
-/// *set* of stored samples (pairwise disjoint in population, §5.1's
+/// the paper's single-sample dispatch: instead of one stored sample and
+/// one Δ interval, a *set* of stored samples (pairwise disjoint in population, §5.1's
 /// merge precondition) plus the residual uncovered region of the query
 /// box as a union of pairwise-disjoint per-column interval boxes. Each
 /// fragment is Δ-scanned once; the lazy sample is the k-way reservoir
@@ -234,61 +212,8 @@ impl SampleStore {
         self.samples.iter().map(|(id, s)| (*id, s))
     }
 
-    /// Classify the best reuse opportunity for a query's logical sampler —
-    /// the store-side decision of **Algorithm 1**.
-    pub fn classify(&self, query: &SampleDescriptor) -> ReuseDecision {
-        if query.predicates.is_unsatisfiable() {
-            return ReuseDecision::None;
-        }
-        let mut best_partial: Option<(SampleId, Predicates, String, u64, u64)> = None;
-        for (id, stored) in &self.samples {
-            if !stored.descriptor.matches_characteristics(query) {
-                continue;
-            }
-            if stored.descriptor.predicates.subsumes(&query.predicates) {
-                return ReuseDecision::Full { id: *id };
-            }
-            if let Some((delta, varying)) = query
-                .predicates
-                .delta_against(&stored.descriptor.predicates)
-            {
-                let delta_measure = delta.get(&varying).map(|s| s.measure()).unwrap_or(0);
-                // Normalize unbounded predicates explicitly: a query column
-                // without a constraint has no finite measure, so such a
-                // candidate cannot be ranked (and `delta_against` never
-                // names one as varying) — skip it rather than rank with a
-                // `u64::MAX` sentinel, which mis-ordered candidates.
-                let Some(query_set) = query.predicates.get(&varying) else {
-                    continue;
-                };
-                let query_measure = query_set.measure();
-                // Partial reuse only pays off if some of the query range is
-                // already covered.
-                if delta_measure < query_measure {
-                    // Candidates may vary along *different* columns, so raw
-                    // Δ measures are not comparable — rank by fractional
-                    // residual Δ/query via cross-multiplication.
-                    let better = match &best_partial {
-                        Some((_, _, _, best_d, best_q)) => {
-                            (delta_measure as u128) * (*best_q as u128)
-                                < (*best_d as u128) * (query_measure as u128)
-                        }
-                        None => true,
-                    };
-                    if better {
-                        best_partial = Some((*id, delta, varying, delta_measure, query_measure));
-                    }
-                }
-            }
-        }
-        match best_partial {
-            Some((id, delta, varying, _, _)) => ReuseDecision::Partial { id, delta, varying },
-            None => ReuseDecision::None,
-        }
-    }
-
-    /// Plan multi-sample coverage for a query — the coverage-planning
-    /// generalization of [`SampleStore::classify`].
+    /// Plan multi-sample coverage for a query — the store-side decision
+    /// of **Algorithm 1**, generalized from one stored sample to several.
     ///
     /// Greedy weighted set cover over the query box: repeatedly select the
     /// candidate sample removing the largest residual measure, keeping the
@@ -591,38 +516,6 @@ impl SampleStore {
         self.samples.push((id, stored));
         self.enforce_budget(id);
         id
-    }
-
-    /// Merge a Δ sample into the stored sample `id`, extending its coverage
-    /// along `varying` by `delta_predicates` (step 4 of Figure 7). The
-    /// stored watermark drops to the conservative minimum of both sides.
-    pub fn merge_delta(
-        &mut self,
-        id: SampleId,
-        delta_sample: StratifiedSampler<GroupKey, SampleTuple>,
-        delta_predicates: &Predicates,
-        varying: &str,
-        watermark: u64,
-        rng: &mut Lehmer64,
-    ) -> bool {
-        let clock = self.tick();
-        let Some((_, stored)) = self.samples.iter_mut().find(|(i, _)| *i == id) else {
-            return false;
-        };
-        let old = std::mem::replace(
-            &mut stored.sample,
-            StratifiedSampler::new(stored.descriptor.k.max(1)),
-        );
-        stored.sample = merge_stratified(old, delta_sample, rng);
-        stored.descriptor.predicates = stored
-            .descriptor
-            .predicates
-            .union_on(varying, delta_predicates);
-        stored.watermark = stored.watermark.min(watermark);
-        stored.last_used.store(clock, Ordering::Relaxed);
-        stored.measure_bytes();
-        self.enforce_budget(id);
-        true
     }
 
     /// Merge a tail Δ sample — rows `[from_row, new_watermark)` of the
@@ -1163,39 +1056,40 @@ mod tests {
 
     use crate::sampler_ops::SampleTuple;
 
-    #[test]
-    fn classify_empty_store_is_none() {
-        let store = SampleStore::new();
-        assert_eq!(store.classify(&desc(0, 99)), ReuseDecision::None);
+    /// Whether `plan` is a full hit on stored sample `id`.
+    fn is_full(plan: &CoveragePlan, id: SampleId) -> bool {
+        plan.samples == vec![id] && plan.fragments.is_empty() && plan.tails.is_empty()
     }
 
     #[test]
-    fn full_partial_none_classification() {
+    fn empty_store_plans_no_reuse() {
+        let store = SampleStore::new();
+        let plan = store.plan_coverage(&desc(0, 99), 1);
+        assert!(plan.samples.is_empty());
+        assert_eq!(plan.fragments, vec![desc(0, 99).predicates]);
+    }
+
+    #[test]
+    fn full_partial_none_plans() {
         let mut store = SampleStore::new();
         let mut rng = Lehmer64::new(2);
         let id = store.absorb(desc(0, 99), schema(), toy_sample(3, 20, 0), 0, &mut rng);
 
         // Subsumed ⇒ full reuse.
-        assert_eq!(store.classify(&desc(10, 50)), ReuseDecision::Full { id });
+        assert!(is_full(&store.plan_coverage(&desc(10, 50), 1), id));
         // Overlapping ⇒ partial with the uncovered remainder as Δ.
-        match store.classify(&desc(50, 149)) {
-            ReuseDecision::Partial {
-                id: pid,
-                delta,
-                varying,
-            } => {
-                assert_eq!(pid, id);
-                assert_eq!(varying, "lo_intkey");
-                assert_eq!(delta.get("lo_intkey").unwrap(), &iv(100, 149));
-            }
-            other => panic!("expected partial reuse, got {other:?}"),
-        }
+        let plan = store.plan_coverage(&desc(50, 149), 1);
+        assert_eq!(plan.samples, vec![id]);
+        assert_eq!(
+            plan.fragments,
+            vec![Predicates::on("lo_intkey", iv(100, 149))]
+        );
         // Disjoint ⇒ none.
-        assert_eq!(store.classify(&desc(200, 300)), ReuseDecision::None);
+        assert!(store.plan_coverage(&desc(200, 300), 1).samples.is_empty());
     }
 
     #[test]
-    fn classify_prefers_smaller_delta() {
+    fn single_sample_plan_prefers_smaller_delta() {
         let mut store = SampleStore::new();
         let mut rng = Lehmer64::new(3);
         let _small = store.absorb(desc(0, 49), schema(), toy_sample(2, 10, 0), 0, &mut rng);
@@ -1206,22 +1100,19 @@ mod tests {
             0,
             &mut rng,
         );
-        // Query [150, 360]: vs sample A delta = [150,360] minus [0,49] → still
-        // [150,360] (no overlap ⇒ not partial); vs sample B delta = [150,199] ∪ [350,360].
-        match store.classify(&desc(150, 360)) {
-            ReuseDecision::Partial { id, delta, .. } => {
-                assert_eq!(id, big);
-                assert_eq!(delta.get("lo_intkey").unwrap().measure(), 50 + 11);
-            }
-            other => panic!("expected partial, got {other:?}"),
-        }
+        // Query [150, 360]: sample A does not overlap it; against sample B
+        // the residual is [150,199] ∪ [350,360].
+        let plan = store.plan_coverage(&desc(150, 360), 1);
+        assert_eq!(plan.samples, vec![big]);
+        let residual: u128 = plan.fragments.iter().map(|f| f.box_measure()).sum();
+        assert_eq!(residual, 50 + 11);
     }
 
     #[test]
-    fn classify_ranks_by_fractional_residual() {
-        // Query: x∈[0,999] ∧ y∈[0,9]. Candidate A covers 90% along x
-        // (raw Δ = 100); candidate B covers 50% along y (raw Δ = 5).
-        // Raw-measure ranking would pick B; fractional ranking picks A.
+    fn single_sample_plan_ranks_by_covered_measure() {
+        // Query: x∈[0,999] ∧ y∈[0,9]. Candidate A covers 90% of the box
+        // along x; candidate B covers 50% along y. The planner picks the
+        // candidate that leaves the smaller residual box measure.
         let mut store = SampleStore::new();
         let with_preds = |p: Predicates| {
             let mut d = desc(0, 0);
@@ -1241,13 +1132,7 @@ mod tests {
             toy_sample(2, 10, 0),
             0,
         );
-        match store.classify(&query) {
-            ReuseDecision::Partial { id, varying, .. } => {
-                assert_eq!(id, a, "must rank by Δ/query fraction, not raw Δ");
-                assert_eq!(varying, "x");
-            }
-            other => panic!("expected partial reuse, got {other:?}"),
-        }
+        assert_eq!(store.plan_coverage(&query, 1).samples, vec![a]);
     }
 
     #[test]
@@ -1258,49 +1143,34 @@ mod tests {
         // Different QCS.
         let mut q = desc(10, 20);
         q.qcs = vec!["lo_quantity".into()];
-        assert_eq!(store.classify(&q), ReuseDecision::None);
+        assert!(store.plan_coverage(&q, 1).samples.is_empty());
         // Different k.
         let mut q = desc(10, 20);
         q.k = 16;
-        assert_eq!(store.classify(&q), ReuseDecision::None);
+        assert!(store.plan_coverage(&q, 1).samples.is_empty());
         // QVS requiring a column the sample lacks.
         let mut q = desc(10, 20);
         q.qvs = vec!["lo_tax".into()];
-        assert_eq!(store.classify(&q), ReuseDecision::None);
+        assert!(store.plan_coverage(&q, 1).samples.is_empty());
     }
 
     #[test]
-    fn merge_delta_extends_coverage() {
+    fn absorb_of_adjacent_delta_extends_coverage() {
         let mut store = SampleStore::new();
         let mut rng = Lehmer64::new(5);
         let id = store.absorb(desc(0, 99), schema(), toy_sample(2, 30, 0), 0, &mut rng);
-        let delta_pred = Predicates::on("lo_intkey", iv(100, 199));
-        assert!(store.merge_delta(
-            id,
+        let merged = store.absorb(
+            desc(100, 199),
+            schema(),
             toy_sample(2, 30, 100),
-            &delta_pred,
-            "lo_intkey",
             0,
-            &mut rng
-        ));
+            &mut rng,
+        );
+        assert_eq!(merged, id);
         // Coverage is now [0, 199] ⇒ full reuse for [0, 150].
-        assert_eq!(store.classify(&desc(0, 150)), ReuseDecision::Full { id });
+        assert!(is_full(&store.plan_coverage(&desc(0, 150), 1), id));
         let stored = store.peek(id).unwrap();
         assert_eq!(stored.sample.total_weight(), 120);
-    }
-
-    #[test]
-    fn merge_delta_unknown_id_is_false() {
-        let mut store = SampleStore::new();
-        let mut rng = Lehmer64::new(6);
-        assert!(!store.merge_delta(
-            SampleId(999),
-            toy_sample(1, 1, 0),
-            &Predicates::none(),
-            "x",
-            0,
-            &mut rng
-        ));
     }
 
     #[test]
@@ -1463,7 +1333,7 @@ mod tests {
         store.absorb(desc(0, 99), schema(), toy_sample(2, 10, 0), 0, &mut rng);
         let mut q = desc(0, 0);
         q.predicates = Predicates::on("lo_intkey", IntervalSet::empty());
-        assert_eq!(store.classify(&q), ReuseDecision::None);
+        assert!(store.plan_coverage(&q, 1).samples.is_empty());
     }
 
     /// A descriptor with a distinct fingerprint (different QCS).
@@ -1544,8 +1414,9 @@ mod tests {
             let d = desc_shaped(s, 0, 99);
             let idx = store.shard_for(&d);
             let g = store.read_shard(idx);
-            assert!(
-                matches!(g.classify(&d), ReuseDecision::Full { .. }),
+            assert_eq!(
+                g.plan_coverage(&d, 1).samples.len(),
+                1,
                 "restored sample must live on its home shard"
             );
         }

@@ -12,7 +12,7 @@
 //! cargo run --release --example dashboard_joins [scale_factor]
 //! ```
 
-use laqy::{Interval, LaqySession, SessionConfig};
+use laqy::{Interval, LaqyService, SessionConfig};
 use laqy_workload::{generate, q2, short_running, ExploreConfig, SsbConfig};
 
 fn main() {
@@ -30,16 +30,16 @@ fn main() {
     // 3 dashboards × 20 queries, each over its own focus region.
     let sequence = short_running(&ExploreConfig::short_batch(domain, 1234), 3);
 
-    let mut session = LaqySession::with_config(catalog, SessionConfig::default());
+    let service = LaqyService::with_config(catalog, SessionConfig::default());
     let (mut lazy_total, mut online_total) = (0.0f64, 0.0f64);
     println!("\npanel | query | reuse   | LAQy time  | online time");
     println!("------+-------+---------+------------+------------");
     for (i, &range) in sequence.iter().enumerate() {
         let query = q2(range, 64);
-        let lazy = session.run(&query).expect("lazy run");
-        // Run the oblivious baseline in a throwaway session so its samples
-        // don't pollute the store.
-        let online = session
+        let lazy = service.run(&query).expect("lazy run");
+        // The oblivious baseline stores nothing, so its samples don't
+        // pollute the store.
+        let online = service
             .run_online_oblivious(&query)
             .expect("online baseline");
         lazy_total += lazy.stats.total.as_secs_f64();
@@ -67,8 +67,8 @@ fn main() {
 
     // Show a few estimated result rows with their confidence intervals.
     let query = q2(Interval::new(0, n / 2), 64);
-    let result = session.run(&query).expect("final query");
-    let keys = session.decode_keys(&query, &result).expect("decode");
+    let result = service.run(&query).expect("final query");
+    let keys = service.decode_keys(&query, &result).expect("decode");
     println!("\nsample answer for Q2 over the first half of the key domain:");
     println!("d_year | p_brand1  | SUM(lo_revenue) ±95% CI");
     for (g, key) in result.groups.iter().zip(keys.iter()).take(8) {

@@ -7,7 +7,7 @@
 //! cargo run --release --example exploratory_session [scale_factor]
 //! ```
 
-use laqy::{Interval, LaqySession, ReuseClass, SessionConfig};
+use laqy::{Interval, LaqyService, ReuseClass, SessionConfig};
 use laqy_workload::{generate, long_running, q1, ExploreConfig, SsbConfig};
 
 fn main() {
@@ -27,8 +27,8 @@ fn main() {
     let domain = Interval::new(0, n - 1);
     let sequence = long_running(&ExploreConfig::long_running(domain, 7));
 
-    let mut lazy_session = LaqySession::with_config(catalog.clone(), SessionConfig::default());
-    let mut online_session = LaqySession::with_config(catalog, SessionConfig::default());
+    let lazy_service = LaqyService::with_config(catalog.clone(), SessionConfig::default());
+    let online_service = LaqyService::with_config(catalog, SessionConfig::default());
 
     println!("\n#  | range sel | reuse   | LAQy       | online     | exact");
     println!("---+-----------+---------+------------+------------+-----------");
@@ -36,11 +36,11 @@ fn main() {
     let mut reuse_counts = [0usize; 3]; // full, partial, online
     for (i, &range) in sequence.iter().enumerate() {
         let query = q1(range, 128);
-        let lazy = lazy_session.run(&query).expect("lazy run");
-        let online = online_session
+        let lazy = lazy_service.run(&query).expect("lazy run");
+        let online = online_service
             .run_online_oblivious(&query)
             .expect("online run");
-        let (_, exact) = online_session.run_exact(&query).expect("exact run");
+        let (_, exact) = online_service.run_exact(&query).expect("exact run");
 
         lazy_total += lazy.stats.total.as_secs_f64();
         online_total += online.stats.total.as_secs_f64();
@@ -71,7 +71,7 @@ fn main() {
     );
     println!(
         "sample store: {} samples, {:.1} MiB",
-        lazy_session.store().len(),
-        lazy_session.store().total_bytes() as f64 / (1024.0 * 1024.0)
+        lazy_service.store().len(),
+        lazy_service.store().total_bytes() as f64 / (1024.0 * 1024.0)
     );
 }

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use laqy::{ApproxQuery, Interval, LaqySession};
+use laqy::{ApproxQuery, Interval, LaqyService};
 use laqy_engine::{AggSpec, Catalog, ColRef, Column, Predicate, QueryPlan, Table};
 
 fn main() {
@@ -34,7 +34,7 @@ fn main() {
         .expect("aligned columns"),
     );
 
-    let mut session = LaqySession::new(catalog);
+    let service = LaqyService::new(catalog);
     let query = |lo: i64, hi: i64| ApproxQuery {
         plan: QueryPlan {
             fact: "events".into(),
@@ -50,7 +50,7 @@ fn main() {
 
     // 2. First query: cold store, full online sampling.
     let q = query(0, 399_999);
-    let r1 = session.run(&q).expect("query 1");
+    let r1 = service.run(&q).expect("query 1");
     println!(
         "query 1 [0, 400k):    reuse = {:7}   total = {:>9.3?}   (sampled {} rows)",
         r1.stats.reuse.unwrap().label(),
@@ -60,7 +60,7 @@ fn main() {
 
     // 3. The user zooms out: only the uncovered [400k, 600k) is sampled.
     let q = query(0, 599_999);
-    let r2 = session.run(&q).expect("query 2");
+    let r2 = service.run(&q).expect("query 2");
     println!(
         "query 2 [0, 600k):    reuse = {:7}   total = {:>9.3?}   (sampled {} rows — the delta)",
         r2.stats.reuse.unwrap().label(),
@@ -70,7 +70,7 @@ fn main() {
 
     // 4. The user zooms back in: fully covered, not even a scan is needed.
     let q = query(100_000, 299_999);
-    let r3 = session.run(&q).expect("query 3");
+    let r3 = service.run(&q).expect("query 3");
     println!(
         "query 3 [100k, 300k): reuse = {:7}   total = {:>9.3?}   (no scan at all)",
         r3.stats.reuse.unwrap().label(),
@@ -78,7 +78,7 @@ fn main() {
     );
 
     // 5. Compare the estimate against the exact answer.
-    let (exact, exact_stats) = session.run_exact(&q).expect("exact");
+    let (exact, exact_stats) = service.run_exact(&q).expect("exact");
     println!(
         "\nexact execution of query 3 took {:?}\n",
         exact_stats.total

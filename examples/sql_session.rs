@@ -7,7 +7,7 @@
 //! cargo run --release --example sql_session
 //! ```
 
-use laqy::{approx_query, LaqySession};
+use laqy::{approx_query, LaqyService};
 use laqy_workload::{generate, SsbConfig};
 
 fn main() {
@@ -16,7 +16,7 @@ fn main() {
         seed: 3,
     });
     let n = catalog.table("lineorder").unwrap().num_rows() as i64;
-    let mut session = LaqySession::new(catalog.clone());
+    let service = LaqyService::new(catalog.clone());
 
     // An exploration session written as SQL; ranges grow then zoom in.
     let statements = [
@@ -40,7 +40,7 @@ fn main() {
     println!("scan-heavy exploration (sampler at the lineorder scan):\n");
     for sql in &statements {
         let query = approx_query(&catalog, sql, 64).expect("valid approximate SQL");
-        let result = session.run(&query).expect("execution");
+        let result = service.run(&query).expect("execution");
         println!(
             "  reuse = {:7}  time = {:>9.2?}  groups = {:4}   {}",
             result.stats.reuse.unwrap().label(),
@@ -65,8 +65,8 @@ fn main() {
     println!("\njoin-heavy dashboard query (sampler above the star join):\n");
     for _ in 0..2 {
         let query = approx_query(&catalog, &q2_sql, 32).expect("valid Q2 SQL");
-        let result = session.run(&query).expect("execution");
-        let keys = session.decode_keys(&query, &result).expect("decode");
+        let result = service.run(&query).expect("execution");
+        let keys = service.decode_keys(&query, &result).expect("decode");
         println!(
             "  reuse = {:7}  time = {:>9.2?}  groups = {}",
             result.stats.reuse.unwrap().label(),

@@ -1,7 +1,10 @@
 //! Integration tests for the support policies (§5.2), oversampling, the
 //! conservative fallback, and the reuse-mode ablation switch.
 
-use laqy::{Interval, LaqySession, ReuseClass, ReuseMode, SessionConfig, SupportPolicy};
+use laqy::{
+    save_store, Interval, LaqyService, ReuseClass, ReuseMode, SampleStore, SessionConfig,
+    SupportPolicy,
+};
 use laqy_engine::Catalog;
 use laqy_workload::{generate, q1, SsbConfig};
 
@@ -20,7 +23,7 @@ fn n_rows(cat: &Catalog) -> i64 {
 fn full_match_only_mode_never_reports_partial() {
     let cat = catalog();
     let n = n_rows(&cat);
-    let mut s = LaqySession::with_config(
+    let s = LaqyService::with_config(
         cat.clone(),
         SessionConfig {
             threads: 2,
@@ -39,6 +42,66 @@ fn full_match_only_mode_never_reports_partial() {
     assert_eq!(r.stats.reuse, Some(ReuseClass::Full));
 }
 
+/// A store snapshot holding three disjoint Q1 samples over `[0, n)`,
+/// with uncovered gaps between them. Each is materialized by a scratch
+/// service and inserted raw, so `absorb` cannot consolidate them into
+/// one wide sample.
+fn fragmented_snapshot(cat: &Catalog, n: i64) -> Vec<u8> {
+    let mut store = SampleStore::new();
+    let stride = n / 3;
+    for i in 0..3 {
+        let lo = i * stride;
+        let scratch = LaqyService::with_config(
+            cat.clone(),
+            SessionConfig {
+                threads: 2,
+                seed: 7,
+                ..Default::default()
+            },
+        );
+        scratch
+            .run(&q1(Interval::new(lo, lo + stride * 4 / 5), 64))
+            .unwrap();
+        let snapshot = scratch.store();
+        let (_, stored) = snapshot.iter().next().unwrap();
+        store.insert_raw(
+            stored.descriptor.clone(),
+            stored.schema.clone(),
+            stored.sample.clone(),
+            stored.watermark,
+        );
+    }
+    save_store(&store)
+}
+
+#[test]
+fn single_sample_mode_reuses_at_most_one_stored_sample() {
+    let cat = catalog();
+    let n = n_rows(&cat);
+    let snapshot = fragmented_snapshot(&cat, n);
+    let query = q1(Interval::new(0, n - 1), 64);
+    let reused = |mode: ReuseMode| {
+        let s = LaqyService::with_config(
+            cat.clone(),
+            SessionConfig {
+                threads: 2,
+                seed: 8,
+                reuse_mode: mode,
+                ..Default::default()
+            },
+        );
+        s.import_samples(&snapshot).unwrap();
+        assert_eq!(s.store().len(), 3);
+        let r = s.run(&query).unwrap();
+        assert_eq!(r.stats.reuse, Some(ReuseClass::Partial));
+        r.stats.fragments_reused
+    };
+    let single = reused(ReuseMode::SingleSample);
+    let lazy = reused(ReuseMode::Lazy);
+    assert!(single <= 1, "single-sample mode merged {single} samples");
+    assert!(lazy > 1, "coverage planning merged only {lazy} samples");
+}
+
 #[test]
 fn lazy_mode_beats_full_match_only_on_overlapping_sequences() {
     let cat = catalog();
@@ -46,7 +109,7 @@ fn lazy_mode_beats_full_match_only_on_overlapping_sequences() {
     // A growing sequence where every step extends the previous range.
     let steps: Vec<Interval> = (1..=8).map(|i| Interval::new(0, n * i / 8 - 1)).collect();
     let run = |mode: ReuseMode| -> (u64, u64) {
-        let mut s = LaqySession::with_config(
+        let s = LaqyService::with_config(
             cat.clone(),
             SessionConfig {
                 threads: 2,
@@ -80,7 +143,7 @@ fn oversampling_alpha_scales_reservoirs() {
     let cat = catalog();
     let n = n_rows(&cat);
     let run_support = |alpha: f64| -> usize {
-        let mut s = LaqySession::with_config(
+        let s = LaqyService::with_config(
             cat.clone(),
             SessionConfig {
                 threads: 2,
@@ -111,7 +174,7 @@ fn oversampling_alpha_scales_reservoirs() {
 fn conservative_policy_falls_back_to_online_on_thin_support() {
     let cat = catalog();
     let n = n_rows(&cat);
-    let mut s = LaqySession::with_config(
+    let s = LaqyService::with_config(
         cat.clone(),
         SessionConfig {
             threads: 2,
@@ -133,7 +196,7 @@ fn conservative_policy_falls_back_to_online_on_thin_support() {
 
     // Without the conservative flag the same query is a full reuse with
     // the available (wider) bounds.
-    let mut s = LaqySession::with_config(
+    let s = LaqyService::with_config(
         cat.clone(),
         SessionConfig {
             threads: 2,
@@ -156,7 +219,7 @@ fn conservative_policy_falls_back_to_online_on_thin_support() {
 fn support_report_flags_empty_strata_after_tightening() {
     let cat = catalog();
     let n = n_rows(&cat);
-    let mut s = LaqySession::with_config(
+    let s = LaqyService::with_config(
         cat.clone(),
         SessionConfig {
             threads: 2,
@@ -182,7 +245,7 @@ fn per_stratum_fallback_validates_thin_strata_without_full_online() {
     // under-supported strata are re-sampled online and validated.
     let cat = catalog();
     let n = n_rows(&cat);
-    let mut s = LaqySession::with_config(
+    let s = LaqyService::with_config(
         cat.clone(),
         SessionConfig {
             threads: 2,

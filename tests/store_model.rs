@@ -1,21 +1,22 @@
 //! Model-based property test for the sample store: random sequences of
-//! absorb / merge-delta / classify operations are checked against a simple
-//! reference model (a coverage `IntervalSet` per sample family).
+//! single-sample coverage plans (`plan_coverage(desc, 1)`) and absorbs
+//! are checked against a simple reference model (a coverage
+//! `IntervalSet` per sample family).
 //!
 //! The invariants under test are the ones Algorithm 1's correctness rests
 //! on:
-//! - `Full` is returned iff some stored sample's coverage subsumes the
-//!   query range;
-//! - `Partial` implies the returned Δ equals `query − coverage` of the
-//!   chosen sample and is strictly smaller than the query;
-//! - `None` implies no stored same-family sample overlaps usefully;
+//! - the plan is a full hit iff some stored sample's coverage subsumes
+//!   the query range;
+//! - a partial plan's residual equals `query − coverage` of the chosen
+//!   sample and is strictly smaller than the query;
+//! - a miss implies no stored same-family sample overlaps the query;
 //! - stored weights always equal the number of tuples absorbed into the
 //!   family region (no tuple is ever double-counted by a merge).
 
 use std::collections::HashSet;
 
 use laqy::{
-    Interval, IntervalSet, Predicates, ReuseDecision, SampleDescriptor, SampleId, SampleSchema,
+    CoveragePlan, Interval, IntervalSet, Predicates, SampleDescriptor, SampleId, SampleSchema,
     SampleStore, SampleTuple, SlotKind,
 };
 use laqy_engine::GroupKey;
@@ -54,41 +55,140 @@ fn interval() -> impl Strategy<Value = Interval> {
     (0i64..300, 0i64..80).prop_map(|(lo, w)| Interval::new(lo, lo + w))
 }
 
+/// The residual of a plan as one set along `x`.
+fn residual(plan: &CoveragePlan) -> IntervalSet {
+    plan.fragments.iter().fold(IntervalSet::empty(), |acc, f| {
+        acc.union(f.get("x").unwrap())
+    })
+}
+
+/// Check a single-sample plan for `qset` against the store it was made
+/// on: a full hit iff a stored sample subsumes the query, a partial plan
+/// leaves exactly `query − coverage` of its sample, and a miss means no
+/// stored sample overlaps the query.
+fn check_plan(store: &SampleStore, qset: &IntervalSet) {
+    let plan = store.plan_coverage(&descriptor(qset.clone()), 1);
+    let coverage = |id: SampleId| {
+        store
+            .peek(id)
+            .unwrap()
+            .descriptor
+            .predicates
+            .get("x")
+            .unwrap()
+            .clone()
+    };
+    let full = plan.samples.len() == 1 && plan.fragments.is_empty();
+    let subsumed = store
+        .descriptors()
+        .any(|(_, d)| d.predicates.get("x").unwrap().subsumes(qset));
+    prop_assert_eq!(full, subsumed);
+    match plan.samples.first() {
+        Some(&id) if full => prop_assert!(coverage(id).subsumes(qset)),
+        Some(&id) => {
+            let delta = residual(&plan);
+            prop_assert_eq!(&delta, &qset.difference(&coverage(id)));
+            prop_assert!(delta.measure() < qset.measure());
+        }
+        None => {
+            for (_, d) in store.descriptors() {
+                prop_assert!(!d.predicates.get("x").unwrap().overlaps(qset));
+            }
+        }
+    }
+}
+
+/// Model bookkeeping after one store write (or touch) of `subject`:
+/// move it to the front of the MRU list, then check the byte budget, that
+/// budget evictions took exactly the least-recently-used samples (never
+/// the subject), per-sample weight conservation, and that nothing is
+/// stored that was never requested.
+fn check_write(
+    store: &SampleStore,
+    mru: &mut Vec<SampleId>,
+    subject: Option<SampleId>,
+    evictions_before: u64,
+    budget: Option<usize>,
+    requested: &IntervalSet,
+) {
+    if let Some(id) = subject {
+        mru.retain(|i| *i != id);
+        mru.insert(0, id);
+        // Protected from its own insertion's budget enforcement.
+        prop_assert!(store.peek(id).is_some());
+    }
+
+    match budget {
+        Some(budget) => prop_assert!(
+            store.total_bytes() <= budget || store.len() <= 1,
+            "budget violated: {} bytes across {} samples",
+            store.total_bytes(),
+            store.len()
+        ),
+        None => prop_assert_eq!(store.evictions(), 0),
+    }
+
+    // Budget evictions must take exactly the least-recently-used
+    // samples (never the subject).
+    let alive: HashSet<SampleId> = store.descriptors().map(|(i, _)| i).collect();
+    let gone: Vec<SampleId> = mru.iter().copied().filter(|i| !alive.contains(i)).collect();
+    prop_assert_eq!(gone.len() as u64, store.evictions() - evictions_before);
+    let mut expected: Vec<SampleId> = mru
+        .iter()
+        .rev()
+        .copied()
+        .filter(|i| Some(*i) != subject)
+        .take(gone.len())
+        .collect();
+    expected.sort();
+    let mut gone_sorted = gone;
+    gone_sorted.sort();
+    prop_assert_eq!(gone_sorted, expected);
+    mru.retain(|i| alive.contains(i));
+
+    // Weight conservation per sample, under any interleaving.
+    for s in store.iter_samples() {
+        let cover = s.descriptor.predicates.get("x").unwrap();
+        prop_assert_eq!(s.sample.total_weight(), cover.measure());
+    }
+    // Nothing stored that was never requested.
+    let mut union = IntervalSet::empty();
+    for (_, d) in store.descriptors() {
+        union = union.union(d.predicates.get("x").unwrap());
+    }
+    prop_assert!(requested.subsumes(&union));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
     #[test]
-    fn classify_agrees_with_coverage_model(
+    fn coverage_plan_agrees_with_coverage_model(
         ops in prop::collection::vec(interval(), 1..12),
         queries in prop::collection::vec(interval(), 1..8),
     ) {
         let mut rng = Lehmer64::new(7);
         let mut store = SampleStore::new();
 
-        // Drive the store exactly as the executor would: classify, then
-        // absorb/merge according to the decision. The model tracks total
-        // covered ground.
+        // Drive the store as the lazy flow does: plan, then absorb what
+        // the plan leaves uncovered (each residual fragment, or the whole
+        // query on a miss). `absorb` merges a fragment disjoint along `x`
+        // into its neighbour. The model tracks total covered ground.
         let mut model_coverage = IntervalSet::empty();
         for iv in &ops {
             let q = IntervalSet::of(*iv);
-            let desc = descriptor(q.clone());
-            match store.classify(&desc) {
-                ReuseDecision::Full { .. } => {
-                    // Model: already covered.
-                    prop_assert!(model_coverage.subsumes(&q));
-                }
-                ReuseDecision::Partial { id, delta, varying } => {
-                    let delta_set = delta.get(&varying).cloned().unwrap_or_default();
-                    prop_assert!(!delta_set.overlaps(&model_coverage) ||
-                        // The chosen sample's coverage may be a subset of the
-                        // union model when several families split coverage;
-                        // but single-family workloads keep them equal.
-                        store.len() > 1);
-                    let delta_sample = sample_for(&delta_set, &mut rng);
-                    store.merge_delta(id, delta_sample, &delta, &varying, 0, &mut rng);
-                }
-                ReuseDecision::None => {
-                    let s = sample_for(&q, &mut rng);
-                    store.absorb(desc, schema(), s, 0, &mut rng);
+            let plan = store.plan_coverage(&descriptor(q.clone()), 1);
+            if plan.samples.is_empty() {
+                prop_assert!(!q.overlaps(&model_coverage));
+                let s = sample_for(&q, &mut rng);
+                store.absorb(descriptor(q.clone()), schema(), s, 0, &mut rng);
+            } else {
+                // Single-family workloads keep one consolidated sample, so
+                // the residual is exactly what the model has not covered.
+                prop_assert_eq!(residual(&plan), q.difference(&model_coverage));
+                for frag in &plan.fragments {
+                    let fset = frag.get("x").unwrap();
+                    let s = sample_for(fset, &mut rng);
+                    store.absorb(descriptor(fset.clone()), schema(), s, 0, &mut rng);
                 }
             }
             model_coverage = model_coverage.union(&q);
@@ -106,37 +206,9 @@ proptest! {
         let total_weight: u64 = store.iter_samples().map(|s| s.sample.total_weight()).sum();
         prop_assert_eq!(total_weight, model_coverage.measure());
 
-        // Classification of arbitrary queries agrees with the model.
+        // Plans for arbitrary queries agree with the model.
         for q in &queries {
-            let qset = IntervalSet::of(*q);
-            match store.classify(&descriptor(qset.clone())) {
-                ReuseDecision::Full { id } => {
-                    let stored = store.peek(id).unwrap();
-                    prop_assert!(stored.descriptor.predicates.get("x").unwrap().subsumes(&qset));
-                }
-                ReuseDecision::Partial { id, delta, varying } => {
-                    let stored_set = store
-                        .peek(id)
-                        .unwrap()
-                        .descriptor
-                        .predicates
-                        .get("x")
-                        .unwrap()
-                        .clone();
-                    let delta_set = delta.get(&varying).cloned().unwrap_or_default();
-                    prop_assert_eq!(&delta_set, &qset.difference(&stored_set));
-                    prop_assert!(delta_set.measure() < qset.measure());
-                }
-                ReuseDecision::None => {
-                    // No single stored sample may subsume or usefully
-                    // overlap the query.
-                    for (_, d) in store.descriptors() {
-                        let set = d.predicates.get("x").unwrap();
-                        prop_assert!(!set.subsumes(&qset));
-                        prop_assert!(!set.overlaps(&qset));
-                    }
-                }
-            }
+            check_plan(&store, &IntervalSet::of(*q));
         }
     }
 }
@@ -272,29 +344,34 @@ proptest! {
 
         for (kind, lo, w, pick) in &ops {
             let q = IntervalSet::of(Interval::new(*lo, lo + w));
-            let evictions_before = store.evictions();
-            // The sample this op writes or touches; protected from the
-            // op's own budget enforcement.
-            let mut subject: Option<SampleId> = None;
+            let budget = budgeted.then_some(budget);
             match kind {
-                // Query-driven, exactly as the executor behaves: classify,
-                // then reuse / Δ-merge / absorb per the decision.
+                // Query-driven, as the lazy flow behaves: plan, then
+                // reuse, absorb each residual fragment, or absorb the
+                // whole query. Every write is one model step.
                 0 | 1 => {
                     requested = requested.union(&q);
-                    match store.classify(&descriptor(q.clone())) {
-                        ReuseDecision::Full { id } => {
+                    let plan = store.plan_coverage(&descriptor(q.clone()), 1);
+                    match plan.samples.first() {
+                        Some(&id) if plan.fragments.is_empty() => {
+                            let before = store.evictions();
                             store.get(id); // full reuse touches the LRU stamp
-                            subject = Some(id);
+                            check_write(&store, &mut mru, Some(id), before, budget, &requested);
                         }
-                        ReuseDecision::Partial { id, delta, varying } => {
-                            let dset = delta.get(&varying).cloned().unwrap_or_default();
-                            let dsample = sample_for(&dset, &mut rng);
-                            prop_assert!(store.merge_delta(id, dsample, &delta, &varying, 0, &mut rng));
-                            subject = Some(id);
+                        Some(_) => {
+                            for frag in &plan.fragments {
+                                let fset = frag.get("x").unwrap();
+                                let s = sample_for(fset, &mut rng);
+                                let before = store.evictions();
+                                let id = store.absorb(descriptor(fset.clone()), schema(), s, 0, &mut rng);
+                                check_write(&store, &mut mru, Some(id), before, budget, &requested);
+                            }
                         }
-                        ReuseDecision::None => {
+                        None => {
                             let s = sample_for(&q, &mut rng);
-                            subject = Some(store.absorb(descriptor(q.clone()), schema(), s, 0, &mut rng));
+                            let before = store.evictions();
+                            let id = store.absorb(descriptor(q.clone()), schema(), s, 0, &mut rng);
+                            check_write(&store, &mut mru, Some(id), before, budget, &requested);
                         }
                     }
                 }
@@ -303,96 +380,27 @@ proptest! {
                 2 => {
                     requested = requested.union(&q);
                     let s = sample_for(&q, &mut rng);
-                    subject = Some(store.insert_raw(descriptor(q.clone()), schema(), s, 0));
+                    let before = store.evictions();
+                    let id = store.insert_raw(descriptor(q.clone()), schema(), s, 0);
+                    check_write(&store, &mut mru, Some(id), before, budget, &requested);
                 }
                 // Explicit eviction of an arbitrary stored sample.
                 _ => {
+                    let before = store.evictions();
                     if !mru.is_empty() {
                         let victim = mru[(*pick as usize) % mru.len()];
                         prop_assert!(store.remove(victim));
                         prop_assert!(store.peek(victim).is_none());
                         mru.retain(|i| *i != victim);
                     }
+                    check_write(&store, &mut mru, None, before, budget, &requested);
                 }
             }
-            if let Some(id) = subject {
-                mru.retain(|i| *i != id);
-                mru.insert(0, id);
-                // Protected from its own insertion's budget enforcement.
-                prop_assert!(store.peek(id).is_some());
-            }
-
-            if budgeted {
-                prop_assert!(
-                    store.total_bytes() <= budget || store.len() <= 1,
-                    "budget violated: {} bytes across {} samples",
-                    store.total_bytes(),
-                    store.len()
-                );
-            } else {
-                prop_assert_eq!(store.evictions(), 0);
-            }
-
-            // Budget evictions must take exactly the least-recently-used
-            // samples (never the subject).
-            let alive: HashSet<SampleId> = store.descriptors().map(|(i, _)| i).collect();
-            let gone: Vec<SampleId> =
-                mru.iter().copied().filter(|i| !alive.contains(i)).collect();
-            prop_assert_eq!(gone.len() as u64, store.evictions() - evictions_before);
-            let mut expected: Vec<SampleId> = mru
-                .iter()
-                .rev()
-                .copied()
-                .filter(|i| Some(*i) != subject)
-                .take(gone.len())
-                .collect();
-            expected.sort();
-            let mut gone_sorted = gone;
-            gone_sorted.sort();
-            prop_assert_eq!(gone_sorted, expected);
-            mru.retain(|i| alive.contains(i));
-
-            // Weight conservation per sample, under any interleaving.
-            for s in store.iter_samples() {
-                let cover = s.descriptor.predicates.get("x").unwrap();
-                prop_assert_eq!(s.sample.total_weight(), cover.measure());
-            }
-            // Nothing stored that was never requested.
-            let mut union = IntervalSet::empty();
-            for (_, d) in store.descriptors() {
-                union = union.union(d.predicates.get("x").unwrap());
-            }
-            prop_assert!(requested.subsumes(&union));
         }
 
-        // Surviving coverage still classifies consistently.
+        // Surviving coverage still plans consistently.
         for (_, lo, w, _) in &ops {
-            let qset = IntervalSet::of(Interval::new(*lo, lo + w));
-            match store.classify(&descriptor(qset.clone())) {
-                ReuseDecision::Full { id } => {
-                    let stored = store.peek(id).unwrap();
-                    prop_assert!(stored.descriptor.predicates.get("x").unwrap().subsumes(&qset));
-                }
-                ReuseDecision::Partial { id, delta, varying } => {
-                    let stored_set = store
-                        .peek(id)
-                        .unwrap()
-                        .descriptor
-                        .predicates
-                        .get("x")
-                        .unwrap()
-                        .clone();
-                    let delta_set = delta.get(&varying).cloned().unwrap_or_default();
-                    prop_assert_eq!(&delta_set, &qset.difference(&stored_set));
-                    prop_assert!(delta_set.measure() < qset.measure());
-                }
-                ReuseDecision::None => {
-                    for (_, d) in store.descriptors() {
-                        let set = d.predicates.get("x").unwrap();
-                        prop_assert!(!set.subsumes(&qset));
-                    }
-                }
-            }
+            check_plan(&store, &IntervalSet::of(Interval::new(*lo, lo + w)));
         }
     }
 }
